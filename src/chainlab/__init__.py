@@ -21,8 +21,7 @@ from .errors import (ChainConfigError, ConvergenceError, OnCutError,
                      PivotBreakdownError, ResonancePoleError,
                      SingularFrameError, UnsupportedConfigurationError)
 from .jacobi import (TridiagonalFrame, assemble_frame, inner_minor,
-                     invert_usmani, leading_minors, minor_ladder, pivots,
-                     trailing_minors)
+                     invert_usmani, leading_minors, pivots, trailing_minors)
 from .propagator import (GammaSeries, KernelSeries, free_green, gamma_kernel,
                          green_table, halfline_field, halfline_green,
                          kernel_N)

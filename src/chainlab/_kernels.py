@@ -1,14 +1,10 @@
 """Hot numeric kernels: leapfrog stepping and oscillatory sums.
 
-Each kernel has a compiled (numba ``@njit``) and a vectorized pure-NumPy
-implementation with identical semantics; ``_accel.USE_NUMBA`` selects which
-one the package-level aliases point at.  Both variants stay importable so the
-benchmark can compare them directly.
+Both are vectorized NumPy: the stepper updates the whole window per step,
+and the oscillatory sum forms trig matrices over chunks of the time grid.
 """
 
 import numpy as np
-
-from ._accel import USE_NUMBA, njit
 
 
 # ---------------------------------------------------------------------------
@@ -19,7 +15,8 @@ from ._accel import USE_NUMBA, njit
 # outside the window are clamped to zero displacement).
 
 
-def _force_numpy(u, mu, gam, out):
+def force_into(u, mu, gam, out):
+    """Lattice force with hard-zero ghost sites, written into ``out``."""
     W = u.shape[0]
     e = np.empty(W + 1)
     e[0] = u[0]
@@ -31,38 +28,14 @@ def _force_numpy(u, mu, gam, out):
     return out
 
 
-def _advance_numpy(u, v, f, minv, mu, gam, dt, nsteps):
+def advance(u, v, f, minv, mu, gam, dt, nsteps):
+    """``nsteps`` velocity-Verlet steps in place; ``f`` holds the force at ``u``."""
     half = 0.5 * dt
     for _ in range(nsteps):
         v += half * f
         u += dt * v * minv
-        _force_numpy(u, mu, gam, f)
+        force_into(u, mu, gam, f)
         v += half * f
-
-
-@njit(cache=True)
-def _advance_numba(u, v, f, minv, mu, gam, dt, nsteps):  # pragma: no cover
-    W = u.shape[0]
-    half = 0.5 * dt
-    for _ in range(nsteps):
-        for i in range(W):
-            v[i] += half * f[i]
-        for i in range(W):
-            u[i] += dt * v[i] * minv[i]
-        for i in range(W):
-            left = u[i - 1] if i > 0 else 0.0
-            right = u[i + 1] if i < W - 1 else 0.0
-            f[i] = gam[i + 1] * (right - u[i]) - gam[i] * (u[i] - left) - mu[i] * u[i]
-        for i in range(W):
-            v[i] += half * f[i]
-
-
-def force_into(u, mu, gam, out):
-    """Lattice force with hard-zero ghost sites, written into ``out``."""
-    return _force_numpy(u, mu, gam, out)
-
-
-advance = _advance_numba if USE_NUMBA else _advance_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -74,36 +47,11 @@ advance = _advance_numba if USE_NUMBA else _advance_numpy
 _MIX_CHUNK = 256
 
 
-def _mix_numpy(kind, coef, omega, t):
+def mix(kind, coef, omega, t):
+    """sin (``kind == 0``) or cos mixing of ``coef`` at frequencies ``omega``."""
     out = np.empty(t.shape[0])
     trig = np.sin if kind == 0 else np.cos
     for lo in range(0, t.shape[0], _MIX_CHUNK):
         hi = min(lo + _MIX_CHUNK, t.shape[0])
         out[lo:hi] = trig(np.outer(t[lo:hi], omega)) @ coef
     return out
-
-
-@njit(cache=True)
-def _mix_numba(kind, coef, omega, t):  # pragma: no cover
-    K = t.shape[0]
-    M = omega.shape[0]
-    out = np.empty(K)
-    for k in range(K):
-        acc = 0.0
-        tk = t[k]
-        if kind == 0:
-            for j in range(M):
-                acc += coef[j] * np.sin(omega[j] * tk)
-        else:
-            for j in range(M):
-                acc += coef[j] * np.cos(omega[j] * tk)
-        out[k] = acc
-    return out
-
-
-def _mix_dispatch_numba(kind, coef, omega, t):
-    return _mix_numba(kind, np.ascontiguousarray(coef),
-                      np.ascontiguousarray(omega), np.ascontiguousarray(t))
-
-
-mix = _mix_dispatch_numba if USE_NUMBA else _mix_numpy

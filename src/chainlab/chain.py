@@ -173,7 +173,8 @@ def build_chain(spec, label=""):
     ``spec`` is a mapping with keys ``bulk_minus``, ``bulk_plus`` (each a
     mapping with ``mass``/``coupling``/``pinning``), ``defect_mass``,
     ``defect_pinning`` (sequences of N+1 floats) and ``defect_coupling``
-    (sequence of N floats).
+    (sequence of N floats).  Every constant must be finite; masses and
+    couplings positive, pinnings nonnegative.
     """
     def side(key):
         try:
@@ -186,6 +187,8 @@ def build_chain(spec, label=""):
                 vals[name] = float(raw[name])
             except (KeyError, TypeError, ValueError):
                 raise ChainConfigError(f"{key}/{name} missing or not a number") from None
+            if not math.isfinite(vals[name]):
+                raise ChainConfigError(f"{key}/{name} must be finite")
         if vals["mass"] <= 0.0:
             raise ChainConfigError(f"{key}/mass must be > 0")
         if vals["coupling"] <= 0.0:
@@ -212,6 +215,11 @@ def build_chain(spec, label=""):
     if len(couplings) != len(masses) - 1:
         raise ChainConfigError(
             f"defect_coupling has {len(couplings)} entries, expected {len(masses) - 1}")
+    for name, vals in (("defect_mass", masses), ("defect_pinning", pinnings),
+                       ("defect_coupling", couplings)):
+        for i, x in enumerate(vals):
+            if not math.isfinite(x):
+                raise ChainConfigError(f"{name}[{i}] must be finite")
     for i, mn in enumerate(masses):
         if mn <= 0.0:
             raise ChainConfigError(f"defect_mass[{i}] must be > 0")

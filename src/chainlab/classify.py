@@ -24,8 +24,8 @@ import numpy as np
 from .chain import Chain
 from .dispersion import PLUS_I0
 from .errors import UnsupportedConfigurationError
-from .jacobi import (MODE_AT_KAPPA, MODE_AT_TOP, assemble_frame,
-                     leading_minors)
+from .jacobi import (MODE_AT_KAPPA, MODE_AT_TOP, _ladder, assemble_frame,
+                     boundary_diagonals, leading_minors)
 
 # relative width of the numerical equality band used wherever the trichotomy
 # turns a strict inequality into an equality case
@@ -38,6 +38,11 @@ RES_ZERO_MODE = "zero_mode"
 RES_REAL_ZERO = "real_zero"
 
 
+def _num(x):
+    """17 significant digits: round-trips a float, whatever its type."""
+    return f"{float(x):.17g}"
+
+
 @dataclass(frozen=True)
 class TrailEntry:
     criterion: str
@@ -46,8 +51,8 @@ class TrailEntry:
     outcome: str
 
     def format(self):
-        return (f"{self.criterion}: value={self.value!r} "
-                f"threshold={self.threshold!r} -> {self.outcome}")
+        return (f"{self.criterion}: value={_num(self.value)} "
+                f"threshold={_num(self.threshold)} -> {self.outcome}")
 
 
 @dataclass
@@ -65,13 +70,13 @@ class ClassificationVerdict:
         if self.decay_beta is not None:
             lines.append(f"decay_beta: {self.decay_beta}")
         if self.kind == KIND_C0:
-            lines.append(f"c0_witness: {self.c0_witness!r}")
+            lines.append(f"c0_witness: {_num(self.c0_witness)}")
             if len(self.c0_witnesses) > 1:
-                lines.append("c0_witnesses: " + " ".join(repr(w) for w in self.c0_witnesses))
+                lines.append("c0_witnesses: " + " ".join(_num(w) for w in self.c0_witnesses))
         if self.kind == KIND_RESONANCE:
             lines.append(f"resonance_kind: {self.resonance_kind}")
             if self.omega_star is not None:
-                lines.append(f"omega_star: {self.omega_star!r}")
+                lines.append(f"omega_star: {_num(self.omega_star)}")
         lines.append("trail:")
         lines.extend("  " + e.format() for e in self.trail)
         return "\n".join(lines)
@@ -141,16 +146,7 @@ def real_axis_det(chain, omega):
 
 def _real_axis_det_grid(chain, omegas):
     """Real part of det D(omega + i0) over an array of real omegas."""
-    from .jacobi import boundary_diagonals
-    diag, gamma = boundary_diagonals(chain, np.asarray(omegas, dtype=float),
-                                     PLUS_I0)
-    prev2 = np.zeros(diag.shape[1], dtype=complex)
-    prev1 = np.ones(diag.shape[1], dtype=complex)
-    for i in range(diag.shape[0]):
-        g2 = gamma[i - 1] ** 2 if i >= 1 else 0.0
-        cur = diag[i] * prev1 - g2 * prev2
-        prev2, prev1 = prev1, cur
-    return prev1.real
+    return _ladder(*boundary_diagonals(chain, omegas, PLUS_I0))[-1].real
 
 
 def _real_value(chain, omega):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, bundled_config
 from .chain import config_digest, load_chain, state_from_dict
-from .classify import classify
+from .classify import _num as _fmt, classify
 from .decay import fit_decay, resonance_witness
 from .errors import (ChainConfigError, ConvergenceError, ResonancePoleError,
                      UnsupportedConfigurationError)
@@ -31,10 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_ACCEPTANCE = 4
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 def _resolve_chain(arg):
@@ -342,3 +338,7 @@ def main(argv=None):
 
 def console_main():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

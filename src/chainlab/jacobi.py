@@ -9,14 +9,17 @@ matrix
     D_NN = mu_N - m_N w^2 + gamma_+(1 - e^{i theta_+(w)}) + gamma_{N-1}
     D_{n,n+1} = D_{n+1,n} = -gamma_n
 
-(for N = 0 the single entry carries both boundary terms).  Determinants are
-evaluated through the leading/trailing minor recurrences
+(for N = 0 the single entry carries both boundary terms).  One builder
+assembles this diagonal, at one evaluation point or over an array of them.
+Determinants come from one ladder, the leading-minor recurrence
 
     alpha_i = d_i alpha_{i-1} - gamma_{i-1}^2 alpha_{i-2}
-    beta_i  = d_i beta_{i+1}  - gamma_i^2     beta_{i+2}
 
-and the inverse in closed form from the minor products (Usmani's formula).
-Dense elimination exists only as a test oracle.
+run over any trailing batch axes of the diagonal.  The trailing minors
+beta_i are the leading minors of the reversed matrix, inner minors are the
+ladder of an interior block, and the inverse follows in closed form from
+the minor products (Usmani's formula).  Dense elimination exists only as a
+test oracle.
 """
 
 import math
@@ -67,6 +70,36 @@ class TridiagonalFrame:
         return float(np.prod(np.maximum(1.0, np.abs(self.diag))))
 
 
+def _symbol_diagonals(chain, w2, z_minus, z_plus):
+    """Diagonal of D and the bond couplings from omega^2 and the branch
+    factors z_-+ = e^{i theta_-+}.
+
+    Scalar arguments give a diagonal of shape (N+1,), arrays of length M
+    one of shape (N+1, M).
+    """
+    N = chain.n_defects
+    pin, mass, cpl = chain.defect_pinning, chain.defect_mass, chain.defect_coupling
+    boundary_minus = chain.bulk_minus.coupling * (1.0 - z_minus)
+    boundary_plus = chain.bulk_plus.coupling * (1.0 - z_plus)
+    # a Python scalar w2 has no shape; np.shape would convert it to an array,
+    # which costs as much as the rest of a scalar assembly
+    diag = np.empty((N + 1,) + getattr(w2, "shape", ()), dtype=complex)
+    if N == 0:
+        diag[0] = pin[0] - mass[0] * w2 + boundary_minus + boundary_plus
+    else:
+        diag[0] = pin[0] - mass[0] * w2 + boundary_minus + cpl[0]
+        for n in range(1, N):
+            diag[n] = pin[n] - mass[n] * w2 + cpl[n] + cpl[n - 1]
+        diag[N] = pin[N] - mass[N] * w2 + boundary_plus + cpl[N - 1]
+    gamma = np.array([chain.bond_coupling(n) for n in range(N)], dtype=float)
+    return diag, gamma
+
+
+def _branch_factors(chain, omega, side):
+    return (exp_itheta(DispersionBranch.from_side(chain.bulk_minus), omega, side),
+            exp_itheta(DispersionBranch.from_side(chain.bulk_plus), omega, side))
+
+
 def assemble_frame(chain, omega=None, mode=MODE_ANALYTIC, side=INTERIOR):
     """Build the symbol matrix of ``chain`` at one evaluation point.
 
@@ -76,82 +109,75 @@ def assemble_frame(chain, omega=None, mode=MODE_ANALYTIC, side=INTERIOR):
     the sign tests at the band edges of a uniform bulk; they fix the branch
     factor to +1/-1 and require identical bulk halves.
     """
-    N = chain.n_defects
-    bm, bp = chain.bulk_minus, chain.bulk_plus
-
     if mode == MODE_ANALYTIC:
         if omega is None:
             raise ValueError("analytic mode requires omega")
-        br_minus = DispersionBranch.from_side(bm)
-        br_plus = DispersionBranch.from_side(bp)
-        z_minus = exp_itheta(br_minus, omega, side)
-        z_plus = exp_itheta(br_plus, omega, side)
+        z_minus, z_plus = _branch_factors(chain, omega, side)
         w = complex(omega)
     elif mode in (MODE_AT_KAPPA, MODE_AT_TOP):
         if not chain.is_uniform_bulk:
             raise UnsupportedConfigurationError(
                 "substitution modes require identical bulk halves")
         if mode == MODE_AT_KAPPA:
-            w = bm.kappa
+            w = chain.bulk_minus.kappa
             z_minus = z_plus = 1.0
         else:
-            w = bm.band_top
+            w = chain.bulk_minus.band_top
             z_minus = z_plus = -1.0
         if omega is not None and not math.isclose(abs(omega), abs(w), rel_tol=1e-12):
             raise ValueError(f"mode {mode} evaluates at omega = {w}, got {omega}")
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    w2 = w * w
-    diag = np.empty(N + 1, dtype=complex)
-    gamma = np.array([chain.bond_coupling(n) for n in range(N)], dtype=float)
-
-    boundary_minus = bm.coupling * (1.0 - z_minus)
-    boundary_plus = bp.coupling * (1.0 - z_plus)
-    if N == 0:
-        diag[0] = (chain.defect_pinning[0] - chain.defect_mass[0] * w2
-                   + boundary_minus + boundary_plus)
-    else:
-        diag[0] = (chain.defect_pinning[0] - chain.defect_mass[0] * w2
-                   + boundary_minus + chain.defect_coupling[0])
-        for n in range(1, N):
-            diag[n] = (chain.defect_pinning[n] - chain.defect_mass[n] * w2
-                       + chain.defect_coupling[n] + chain.defect_coupling[n - 1])
-        diag[N] = (chain.defect_pinning[N] - chain.defect_mass[N] * w2
-                   + boundary_plus + chain.defect_coupling[N - 1])
-
+    diag, gamma = _symbol_diagonals(chain, w * w, z_minus, z_plus)
     if np.max(np.abs(diag.imag)) == 0.0:
         diag = diag.real.astype(complex)
     return TridiagonalFrame(diag=diag, gamma=gamma, omega=complex(w), mode=mode)
 
 
+def boundary_diagonals(chain, omega, side):
+    """Diagonals of the boundary frames over an array of real omega.
+
+    Returns ``(diag, gamma)`` with ``diag`` of shape (N+1, len(omega)).
+    """
+    omega = np.asarray(omega, dtype=float)
+    z_minus, z_plus = _branch_factors(chain, omega, side)
+    return _symbol_diagonals(chain, omega.astype(complex) ** 2, z_minus, z_plus)
+
+
 # ---------------------------------------------------------------------------
-# minor ladders
+# the minor ladder
+
+
+def _ladder(diag, gamma):
+    """alpha_{-1}..alpha_N of the leading-minor recurrence (alpha_{-1} = 1).
+
+    ``diag`` has shape (N+1,) or (N+1, M...); the ladder runs over the
+    trailing axes at once and has shape (N+2, M...).
+    """
+    alpha = np.empty((len(diag) + 1,) + diag.shape[1:], dtype=complex)
+    alpha[0] = prev1 = 1.0
+    prev2 = 0.0                  # alpha_{-2}
+    for i in range(len(diag)):
+        g2 = gamma[i - 1] ** 2 if i >= 1 else 0.0
+        prev2, prev1 = prev1, diag[i] * prev1 - g2 * prev2
+        alpha[i + 1] = prev1
+    return alpha
+
+
+def _trailing_ladder(diag, gamma):
+    """beta_0..beta_{N+1} (beta_{N+1} = 1): the ladder of the reversed matrix."""
+    return _ladder(diag[::-1], gamma[::-1])[::-1]
 
 
 def leading_minors(frame):
     """alpha_0..alpha_N (alpha_N = det), via the three-term recurrence."""
-    d, g = frame.diag, frame.gamma
-    alpha = np.empty(frame.size, dtype=complex)
-    prev2, prev1 = 0.0, 1.0      # alpha_{-2}, alpha_{-1}
-    for i in range(frame.size):
-        g2 = g[i - 1] ** 2 if i >= 1 else 0.0
-        alpha[i] = d[i] * prev1 - g2 * prev2
-        prev2, prev1 = prev1, alpha[i]
-    return alpha
+    return _ladder(frame.diag, frame.gamma)[1:]
 
 
 def trailing_minors(frame):
     """beta_0..beta_N (beta_0 = det), recursing from the lower-right corner."""
-    d, g = frame.diag, frame.gamma
-    n = frame.size
-    beta = np.empty(n, dtype=complex)
-    next2, next1 = 0.0, 1.0      # beta_{N+2}, beta_{N+1}
-    for i in range(n - 1, -1, -1):
-        g2 = g[i] ** 2 if i <= n - 2 else 0.0
-        beta[i] = d[i] * next1 - g2 * next2
-        next2, next1 = next1, beta[i]
-    return beta
+    return _trailing_ladder(frame.diag, frame.gamma)[:-1]
 
 
 def frame_det(frame):
@@ -183,18 +209,6 @@ def pivots(frame):
     return c, e
 
 
-@dataclass(frozen=True)
-class MinorLadder:
-    alpha: np.ndarray
-    beta: np.ndarray
-    c: np.ndarray
-    e: np.ndarray
-
-
-def minor_ladder(frame):
-    return MinorLadder(leading_minors(frame), trailing_minors(frame), *pivots(frame))
-
-
 def inner_minor(frame, j, k):
     """Determinant of the interior block with rows/columns j..k (1-based defect
     indices, 1 <= j <= k <= N-1).
@@ -214,105 +228,19 @@ def inner_minor(frame, j, k):
         return 0.0 + 0.0j
     if not (j <= k <= N - 1):
         raise ValueError(f"k = {k} out of range {j - 1}..{N - 1}")
-    d, g = frame.diag, frame.gamma
-    prev2, prev1 = 0.0, 1.0
-    val = 1.0
-    for i in range(j, k + 1):
-        g2 = g[i - 1] ** 2 if i > j else 0.0
-        val = d[i] * prev1 - g2 * prev2
-        prev2, prev1 = prev1, val
-    return complex(val)
+    return complex(_ladder(frame.diag[j:k + 1], frame.gamma[j:k])[-1])
 
 
-def invert_usmani(frame):
-    """Closed-form inverse from the minor ladders.
+def _usmani(alpha, beta, gamma):
+    """Inverse entries from the ladders alpha_{-1}..alpha_N, beta_0..beta_{N+1}.
 
     N_ij = gamma_j ... gamma_{i-1} alpha_{j-1} beta_{i+1} / alpha_N for
     j < i, with the diagonal alpha_{i-1} beta_{i+1} / alpha_N; symmetric by
-    construction.  Raises :class:`SingularFrameError` when |det| falls below
-    1e-12 times the frame scale.
+    construction.  Batch axes of the ladders trail the two matrix axes.
     """
-    n = frame.size
-    alpha = leading_minors(frame)
-    beta = trailing_minors(frame)
-    det = alpha[-1]
-    scale = frame.scale()
-    if abs(det) < _SINGULAR_RTOL * max(1.0, scale):
-        raise SingularFrameError(det, scale, frame.omega)
-
-    def al(i):
-        return alpha[i] if i >= 0 else 1.0
-
-    def be(i):
-        return beta[i] if i <= n - 1 else 1.0
-
-    inv = np.empty((n, n), dtype=complex)
-    g = frame.gamma
-    for i in range(n):
-        inv[i, i] = al(i - 1) * be(i + 1) / det
-        prod = 1.0
-        for j in range(i - 1, -1, -1):
-            prod *= g[j]
-            inv[i, j] = prod * al(j - 1) * be(i + 1) / det
-            inv[j, i] = inv[i, j]
-    return inv
-
-
-# ---------------------------------------------------------------------------
-# vectorized ladders over evaluation-point arrays (quadrature support)
-
-
-def boundary_diagonals(chain, omega, side):
-    """Diagonals of the boundary frames over an array of real omega.
-
-    Returns ``(diag, gamma)`` with ``diag`` of shape (N+1, len(omega)).
-    """
-    omega = np.asarray(omega, dtype=float)
-    N = chain.n_defects
-    bm, bp = chain.bulk_minus, chain.bulk_plus
-    z_minus = exp_itheta(DispersionBranch.from_side(bm), omega, side)
-    z_plus = exp_itheta(DispersionBranch.from_side(bp), omega, side)
-    w2 = omega.astype(complex) ** 2
-
-    diag = np.empty((N + 1, len(omega)), dtype=complex)
-    if N == 0:
-        diag[0] = (chain.defect_pinning[0] - chain.defect_mass[0] * w2
-                   + bm.coupling * (1.0 - z_minus) + bp.coupling * (1.0 - z_plus))
-    else:
-        diag[0] = (chain.defect_pinning[0] - chain.defect_mass[0] * w2
-                   + bm.coupling * (1.0 - z_minus) + chain.defect_coupling[0])
-        for n in range(1, N):
-            diag[n] = (chain.defect_pinning[n] - chain.defect_mass[n] * w2
-                       + chain.defect_coupling[n] + chain.defect_coupling[n - 1])
-        diag[N] = (chain.defect_pinning[N] - chain.defect_mass[N] * w2
-                   + bp.coupling * (1.0 - z_plus) + chain.defect_coupling[N - 1])
-    gamma = np.array([chain.bond_coupling(n) for n in range(N)], dtype=float)
-    return diag, gamma
-
-
-def ladder_inverse_entries(diag, gamma):
-    """All entries of the Usmani inverse over an evaluation-point array.
-
-    ``diag`` has shape (N+1, M); returns shape (N+1, N+1, M).
-    """
-    n, m = diag.shape
-    alpha = np.empty((n + 1, m), dtype=complex)   # alpha[-1] stored at index 0
-    alpha[0] = 1.0
-    prev2 = np.zeros(m, dtype=complex)
-    for i in range(n):
-        g2 = gamma[i - 1] ** 2 if i >= 1 else 0.0
-        alpha[i + 1] = diag[i] * alpha[i] - g2 * prev2
-        prev2 = alpha[i]
-    beta = np.empty((n + 1, m), dtype=complex)    # beta[N+1] stored at index n
-    beta[n] = 1.0
-    next2 = np.zeros(m, dtype=complex)
-    for i in range(n - 1, -1, -1):
-        g2 = gamma[i] ** 2 if i <= n - 2 else 0.0
-        beta[i] = diag[i] * beta[i + 1] - g2 * next2
-        next2 = beta[i + 1]
+    n = len(alpha) - 1
     det = alpha[n]
-
-    inv = np.empty((n, n, m), dtype=complex)
+    inv = np.empty((n, n) + alpha.shape[1:], dtype=complex)
     for i in range(n):
         inv[i, i] = alpha[i] * beta[i + 1] / det
         prod = 1.0
@@ -321,3 +249,25 @@ def ladder_inverse_entries(diag, gamma):
             inv[i, j] = prod * alpha[j] * beta[i + 1] / det
             inv[j, i] = inv[i, j]
     return inv
+
+
+def invert_usmani(frame):
+    """Closed-form inverse from the minor ladders (Usmani's formula).
+
+    Raises :class:`SingularFrameError` when |det| falls below 1e-12 times
+    the frame scale.
+    """
+    alpha = _ladder(frame.diag, frame.gamma)
+    det = alpha[-1]
+    scale = frame.scale()
+    if abs(det) < _SINGULAR_RTOL * max(1.0, scale):
+        raise SingularFrameError(det, scale, frame.omega)
+    return _usmani(alpha, _trailing_ladder(frame.diag, frame.gamma), frame.gamma)
+
+
+def ladder_inverse_entries(diag, gamma):
+    """All entries of the Usmani inverse over an evaluation-point array.
+
+    ``diag`` has shape (N+1, M); returns shape (N+1, N+1, M).
+    """
+    return _usmani(_ladder(diag, gamma), _trailing_ladder(diag, gamma), gamma)

@@ -59,22 +59,33 @@ def _torus_nodes(side, t, n_max):
     return m
 
 
+def _torus_phi(side, m_count):
+    """Dispersion phi(theta) on the M-point trapezoid grid of the torus."""
+    theta = 2.0 * math.pi * np.arange(m_count) / m_count
+    return np.sqrt(side.nu ** 2 * (2.0 - 2.0 * np.cos(theta)) + side.kappa ** 2)
+
+
+def _green_spectra(side, phi, t):
+    """g00, g01, g10 at every offset n = 0..M/2 of the grid behind ``phi``.
+
+    The trapezoid sums of cos(phi t), sin(phi t)/(m phi) and
+    -m phi sin(phi t), one real FFT each.
+    """
+    m_count = len(phi)
+    ct = np.cos(phi * t)
+    st_over = t * np.sinc(phi * t / math.pi) / side.mass
+    st_phi = -side.mass * phi * np.sin(phi * t)
+    return (np.fft.rfft(ct).real / m_count, np.fft.rfft(st_over).real / m_count,
+            np.fft.rfft(st_phi).real / m_count)
+
+
 def green_table(side, t, n_max, m_nodes=None):
     """G_t(n) entries for n = 0..n_max (even in n), as arrays g00, g01, g10.
 
     g11 equals g00.  ``m_nodes`` overrides the automatic trapezoid size.
     """
     M = m_nodes or _torus_nodes(side, t, n_max)
-    theta = 2.0 * math.pi * np.arange(M) / M
-    phi = np.sqrt(side.nu ** 2 * (2.0 - 2.0 * np.cos(theta)) + side.kappa ** 2)
-    ct = np.cos(phi * t)
-    st_over = t * np.sinc(phi * t / math.pi) / side.mass
-    st_phi = -side.mass * phi * np.sin(phi * t)
-    out = []
-    for vals in (ct, st_over, st_phi):
-        spec = np.fft.rfft(vals).real / M
-        out.append(spec[: n_max + 1].copy())
-    return out[0], out[1], out[2]
+    return tuple(g[: n_max + 1].copy() for g in _green_spectra(side, _torus_phi(side, M), t))
 
 
 def free_green(n, t, side, m_nodes=None, gate=True):
@@ -129,17 +140,11 @@ def halfline_field(side, u0, v0, times, j_targets, m_nodes=None, gate=True):
     sum_idx = j_targets[:, None] + k_idx[None, :]
 
     def run(m_count, time_list):
-        theta = 2.0 * math.pi * np.arange(m_count) / m_count
-        phi = np.sqrt(side.nu ** 2 * (2.0 - 2.0 * np.cos(theta)) + side.kappa ** 2)
+        phi = _torus_phi(side, m_count)
         z = np.empty((len(j_targets), len(time_list)))
         vz = np.empty_like(z)
         for it, t in enumerate(time_list):
-            ct = np.cos(phi * t)
-            s_over = t * np.sinc(phi * t / math.pi) / side.mass
-            s_phi = -side.mass * phi * np.sin(phi * t)
-            g00 = np.fft.rfft(ct).real / m_count
-            g01 = np.fft.rfft(s_over).real / m_count
-            g10 = np.fft.rfft(s_phi).real / m_count
+            g00, g01, g10 = _green_spectra(side, phi, t)
             k00 = g00[diff_idx] - g00[sum_idx]
             k01 = g01[diff_idx] - g01[sum_idx]
             k10 = g10[diff_idx] - g10[sum_idx]
@@ -324,7 +329,8 @@ def _kernel_data(chain, t, orders, refine, residue):
 
 
 # completed kernel runs, keyed by (chain, grid, orders); reused by the
-# simulator when it revisits the same grid (inserts are atomic under the GIL)
+# simulator when it revisits the same grid (inserts are atomic under the GIL).
+# Every caller of a grid shares one KernelSeries, so its arrays are read-only.
 _KERNEL_MEMO = {}
 _KERNEL_MEMO_MAX = 8
 
@@ -337,7 +343,8 @@ def kernel_N(chain, verdict, t, orders=(0, 1, 2)):
     resonance is refused with :class:`ResonancePoleError` carrying the pole
     pair, since the band jump alone misses the pole contribution.
     """
-    t = np.asarray(t, dtype=float)
+    t = np.array(t, dtype=float)     # a private copy: the memo hands it out
+    t.setflags(write=False)
     residue = None
     if verdict.kind == KIND_RESONANCE:
         if verdict.resonance_kind == RES_REAL_ZERO:
@@ -357,6 +364,7 @@ def kernel_N(chain, verdict, t, orders=(0, 1, 2)):
             err = float(np.max(np.abs(data - prev)))
             scale = max(1.0, float(np.max(np.abs(data))))
             if err <= _GATE_ATOL + _GATE_RTOL * scale:
+                data.setflags(write=False)
                 series = KernelSeries(t=t, orders=orders, data=data)
                 if len(_KERNEL_MEMO) >= _KERNEL_MEMO_MAX:
                     _KERNEL_MEMO.pop(next(iter(_KERNEL_MEMO)))

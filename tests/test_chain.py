@@ -44,6 +44,10 @@ def test_boundary_coupling_aliases():
     ("defect_mass", [0.0], "defect_mass[0]"),
     ("defect_mass", [-1.0], "defect_mass[0]"),
     ("defect_pinning", [-0.1], "defect_pinning[0]"),
+    ("defect_pinning", [math.nan], "defect_pinning[0]"),
+    ("defect_mass", [math.inf], "defect_mass[0]"),
+    ("bulk_plus", {"mass": 1.0, "coupling": math.nan, "pinning": 0.0},
+     "bulk_plus/coupling"),
 ])
 def test_build_chain_rejects_bad_values(field, value, message):
     with pytest.raises(ChainConfigError, match=__import__("re").escape(message)):

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from chainlab import bundled_chain
 from chainlab.classify import (KIND_C, KIND_C0, KIND_RESONANCE, RES_REAL_ZERO,
                                RES_ZERO_MODE, classify, classify_n0,
                                find_spectral_zero, k_functions, k_minus,
@@ -397,3 +399,14 @@ def test_verdict_describe_contains_trail():
     text = classify(chain).describe()
     assert "kind: C" in text
     assert "trail:" in text
+
+
+@pytest.mark.parametrize("name", ["n2_uniform_c", "r1_zero_mode_n1"])
+def test_verdict_numbers_print_the_same_under_any_numpy(name):
+    # NumPy 2 scalars repr as np.float64(...); the text must hold plain floats
+    text = classify(bundled_chain(name)).describe()
+    assert "np." not in text
+    values = re.findall(r"value=(\S+)", text)
+    assert values
+    for field in values:
+        float(field)

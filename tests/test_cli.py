@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import chainlab
 from chainlab.cli import main
 
 
@@ -22,6 +28,33 @@ def test_classify_missing_config(tmp_path, capsys):
     code = run(tmp_path, "classify", "--chain", "does_not_exist")
     assert code == 2
     assert "error: config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mass,pinning", [("1.0", "nan"), ("inf", "1.0")])
+def test_classify_rejects_non_finite_config(tmp_path, capsys, mass, pinning):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{s}/{f} = 1.0\n" for s in ("bulk_minus", "bulk_plus")
+                           for f in ("mass", "coupling", "pinning"))
+                   + f"defect_mass = {mass}\ndefect_pinning = {pinning}\n")
+    assert run(tmp_path, "classify", "--chain", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "must be finite" in err
+    assert not (tmp_path / "bad_verdict.txt").exists()
+
+
+@pytest.mark.parametrize("module", ["chainlab", "chainlab.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = str(Path(chainlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "classify", "--chain", "p1_condition_c",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "kind: C" in proc.stdout
+    assert (tmp_path / "p1_condition_c_verdict.txt").exists()
 
 
 def test_simulate_zero_state_and_determinism(tmp_path):

@@ -8,8 +8,7 @@ from chainlab.errors import (PivotBreakdownError, SingularFrameError,
 from chainlab.jacobi import (MODE_AT_KAPPA, MODE_AT_TOP, assemble_frame,
                              boundary_diagonals, frame_det, inner_minor,
                              invert_usmani, ladder_inverse_entries,
-                             leading_minors, minor_ladder, pivots,
-                             trailing_minors)
+                             leading_minors, pivots, trailing_minors)
 
 
 def random_chain(rng, n_defects=None, uniform=False, pinned=True):
@@ -223,7 +222,8 @@ def test_minor_ladder_convenience():
     rng = np.random.default_rng(10)
     chain = random_chain(rng, n_defects=2)
     fr = assemble_frame(chain, random_upper_omega(rng))
-    lad = minor_ladder(fr)
-    assert lad.alpha[-1] == pytest.approx(lad.beta[0])
-    assert np.prod(lad.c) == pytest.approx(lad.alpha[-1])
-    assert np.prod(lad.e) == pytest.approx(lad.alpha[-1])
+    alpha, beta = leading_minors(fr), trailing_minors(fr)
+    c, e = pivots(fr)
+    assert alpha[-1] == pytest.approx(beta[0])
+    assert np.prod(c) == pytest.approx(alpha[-1])
+    assert np.prod(e) == pytest.approx(alpha[-1])

@@ -254,6 +254,21 @@ def test_kernel_multi_interval_bands_sum_rule(spec, expect_intervals):
                                                   abs=1e-8)
 
 
+def test_kernel_memo_hands_out_read_only_copies():
+    chain = uniform_chain(mu=1.0, defect_mass=(2.0,), defect_pinning=(3.0,))
+    v = classify(chain)
+    t = np.linspace(0.0, 5.0, 51)
+    ker = kernel_N(chain, v, t, orders=(0,))
+    assert kernel_N(chain, v, t.copy(), orders=(0,)) is ker
+    t[:] = -1.0                      # the caller reuses its own grid
+    assert ker.t[-1] == 5.0
+    assert kernel_N(chain, v, np.linspace(0.0, 5.0, 51), orders=(0,)) is ker
+    with pytest.raises(ValueError):
+        ker.data[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ker.t[0] = 1.0
+
+
 def test_kernel_refuses_real_zero_resonance():
     chain = uniform_chain(m=1.0, gamma=1.0, mu=1.0,
                           defect_mass=(0.5,), defect_pinning=(0.5,))
